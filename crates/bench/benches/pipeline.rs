@@ -14,11 +14,16 @@
 //! near-stall-free router at the 8-thread tuning, and — in full mode —
 //! the ring pipeline beating the PR 6 channel pipeline's recorded
 //! 8-thread throughput by at least 1.5×.
+//!
+//! A separate `metrics_overhead` block times one `KrrModel` with and
+//! without a metrics registry attached, in interleaved on/off pairs, and
+//! asserts the two MRCs are bit-identical; in full mode the metrics-on
+//! throughput must stay within 5% of metrics-off.
 
 use krr_core::metrics::MetricsRegistry;
 use krr_core::rng::Xoshiro256;
 use krr_core::sharded::ShardedKrr;
-use krr_core::KrrConfig;
+use krr_core::{KrrConfig, KrrModel, Mrc};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,6 +42,13 @@ const REPS: usize = 3;
 const PR6_CHANNEL_T8_RPS: f64 = 646_188.0;
 const GATE_SPEEDUP: f64 = 1.5;
 
+/// Paired metrics-on/off runs of the overhead block, the refs each side
+/// processes between hand-offs within a pair, and the smallest accepted
+/// ratio of their median throughputs (on / off) in full mode.
+const OVERHEAD_PAIRS: usize = 10;
+const OVERHEAD_CHUNK: usize = 50_000;
+const OVERHEAD_REQUIRED: f64 = 0.95;
+
 fn trace(n: usize) -> Vec<(u64, u32)> {
     let z = krr_trace::Zipf::new(100_000, 0.9);
     let mut rng = Xoshiro256::seed_from_u64(3);
@@ -54,6 +66,72 @@ fn time_best(mut run: impl FnMut() -> ShardedKrr) -> (f64, ShardedKrr) {
         bank = Some(b);
     }
     (best, bank.expect("at least one rep"))
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 0 {
+        (v[mid - 1] + v[mid]) / 2.0
+    } else {
+        v[mid]
+    }
+}
+
+/// The `metrics_overhead` block: one `KrrModel` (K=5) on Zipf 0.9 over
+/// 200K keys, timed in `OVERHEAD_PAIRS` metrics-on/off pairs. Within a
+/// pair the two models take turns on `OVERHEAD_CHUNK`-ref slices of the
+/// trace, alternating which goes first, so slow drift in host speed hits
+/// both sides alike. Returns the JSON object.
+fn metrics_overhead(fast: bool) -> String {
+    let n = if fast { 200_000 } else { 2_000_000 };
+    let z = krr_trace::Zipf::new(200_000, 0.9);
+    let mut rng = Xoshiro256::seed_from_u64(11);
+    let keys: Vec<u64> = (0..n).map(|_| z.sample(&mut rng)).collect();
+    let (mut off_rps, mut on_rps) = (Vec::new(), Vec::new());
+    let mut golden: Option<Mrc> = None;
+    for pair in 0..OVERHEAD_PAIRS {
+        let mut models = [false, true].map(|metrics| {
+            let mut model = KrrModel::new(KrrConfig::new(5.0).seed(7));
+            if metrics {
+                model.set_metrics(Arc::new(MetricsRegistry::new()));
+            }
+            model
+        });
+        let mut secs = [0.0f64; 2];
+        for (i, chunk) in keys.chunks(OVERHEAD_CHUNK).enumerate() {
+            let on_first = (pair + i) % 2 == 1;
+            for side in [usize::from(on_first), usize::from(!on_first)] {
+                let t0 = Instant::now();
+                for &key in chunk {
+                    models[side].access_key(key);
+                }
+                secs[side] += t0.elapsed().as_secs_f64();
+            }
+        }
+        for model in &models {
+            let mrc = model.mrc();
+            let g = golden.get_or_insert_with(|| mrc.clone());
+            assert_eq!(mrc.points(), g.points(), "MRC diverged in pair {pair}");
+        }
+        off_rps.push(n as f64 / secs[0]);
+        on_rps.push(n as f64 / secs[1]);
+    }
+    let (off, on) = (median(off_rps), median(on_rps));
+    let ratio = on / off;
+    println!(
+        "metrics overhead: off {off:.0} refs/s, on {on:.0} refs/s (medians of {OVERHEAD_PAIRS} pairs), on/off {ratio:.3}"
+    );
+    if !fast {
+        assert!(
+            ratio >= OVERHEAD_REQUIRED,
+            "metrics overhead gate failed: on/off {ratio:.3} < {OVERHEAD_REQUIRED}"
+        );
+    }
+    format!(
+        "{{\"refs\":{n},\"keys\":200000,\"k\":5,\"pairs\":{OVERHEAD_PAIRS},\"off_rps_median\":{off:.0},\"on_rps_median\":{on:.0},\"ratio\":{ratio:.3},\"required\":{OVERHEAD_REQUIRED},\"enforced\":{},\"mrc_identical\":true}}",
+        !fast
+    )
 }
 
 struct Row {
@@ -205,6 +283,8 @@ fn main() {
         );
     }
 
+    let overhead = metrics_overhead(fast);
+
     let mut json = String::from("{\"schema\":\"krr-bench-pipeline-v2\",");
     let _ = write!(
         json,
@@ -244,7 +324,7 @@ fn main() {
             rps_of("pipeline", *threads) / rps_of("channels", *threads)
         );
     }
-    json.push_str("}}");
+    let _ = write!(json, "}},\"metrics_overhead\":{overhead}}}");
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
     std::fs::write(out, &json).expect("write BENCH_pipeline.json");
     println!("wrote {out}\n");

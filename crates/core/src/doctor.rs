@@ -437,6 +437,14 @@ const ARTIFACT_SCHEMAS: &[(&str, &[&str])] = &[
     ),
 ];
 
+/// Optional blocks a schema may carry, and the keys each must hold when
+/// present.
+const OPTIONAL_BLOCKS: &[(&str, &str, &[&str])] = &[(
+    "krr-bench-pipeline-v2",
+    "metrics_overhead",
+    &["ratio", "required", "enforced", "mrc_identical"],
+)];
+
 /// Validates a parsed artifact against its declared grow-only schema.
 /// Accepts a top-level `"schema"` tag or a Chrome-trace
 /// `otherData.schema` tag. Returns the schema name on success.
@@ -469,6 +477,14 @@ pub fn validate_artifact(doc: &Json) -> Result<String, String> {
     for key in *required {
         if body.get(key).is_none() {
             return Err(format!("{tag}: missing required key {key:?}"));
+        }
+    }
+    for (_, block, keys) in OPTIONAL_BLOCKS.iter().filter(|(name, ..)| *name == tag) {
+        let Some(value) = body.get(block) else {
+            continue;
+        };
+        if let Some(key) = keys.iter().find(|&&k| value.get(k).is_none()) {
+            return Err(format!("{tag}: {block} missing required key {key:?}"));
         }
     }
     Ok(tag)
@@ -624,5 +640,15 @@ mod tests {
             parse(r#"{"traceEvents":[],"otherData":{"schema":"krr-trace-v1","dropped_events":0}}"#)
                 .unwrap();
         assert_eq!(validate_artifact(&trace).unwrap(), "krr-trace-v1");
+        // Optional blocks are checked only when present.
+        let pipeline = |extra: &str| {
+            let head = r#""schema":"krr-bench-pipeline-v2","results":[],"gate":{},"ring_t8":{},"keys_hashed":{}"#;
+            validate_artifact(&parse(&format!("{{{head}{extra}}}")).unwrap())
+        };
+        assert!(pipeline("").is_ok());
+        let block = r#","metrics_overhead":{"ratio":1.0,"required":0.95,"enforced":true,"mrc_identical":true}"#;
+        assert!(pipeline(block).is_ok());
+        let partial = pipeline(r#","metrics_overhead":{"ratio":1.0}"#);
+        assert!(partial.unwrap_err().contains("metrics_overhead missing"));
     }
 }

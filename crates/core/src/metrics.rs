@@ -96,7 +96,8 @@ impl Gauge {
 }
 
 /// A log2-bucketed histogram of `u64` values (chain lengths, scan counts,
-/// nanosecond latencies, candidate ages). Recording is 4 `Relaxed` RMWs.
+/// nanosecond latencies, candidate ages). Recording is 3 `Relaxed` RMWs,
+/// plus a fourth only when the value sets a new maximum.
 #[derive(Debug)]
 pub struct LogHistogram {
     buckets: [AtomicU64; LOG_BUCKETS],
@@ -153,7 +154,10 @@ impl LogHistogram {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // `fetch_max` is a compare-exchange loop; the max only grows.
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Values recorded so far.

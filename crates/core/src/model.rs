@@ -190,10 +190,6 @@ pub struct ModelStats {
     pub distinct: u64,
 }
 
-fn krr_sizearray_bytes(sa: &SizeArray) -> usize {
-    sa.memory_bytes()
-}
-
 /// One-pass K-LRU MRC profiler.
 #[derive(Debug)]
 pub struct KrrModel {
@@ -248,17 +244,11 @@ impl KrrModel {
         } else {
             SpatialFilter::with_rate(config.sampling_rate)
         };
-        let mut stack = KrrStack::new(config.effective_k(), config.updater, config.seed);
+        let stack = KrrStack::new(config.effective_k(), config.updater, config.seed);
         let sizes = match config.size_mode {
             SizeMode::Uniform => None,
             SizeMode::ByteLevel { base } => Some(SizeArray::new(base)),
         };
-        // Only the sizeArray reads per-chain pre-update sizes; skip
-        // gathering them in uniform mode. Until metrics or a recorder is
-        // attached nothing observes the chain itself either, so the stack
-        // may use the fused backward update.
-        stack.set_record_chain_sizes(sizes.is_some());
-        stack.set_record_chain(sizes.is_some());
         let hist = SdHistogram::new(config.bin_width);
         Self {
             config,
@@ -277,8 +267,6 @@ impl KrrModel {
     /// Attaches a metrics registry; subsequent accesses record into it.
     /// The default (detached) hot path costs one branch.
     pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) {
-        // The chain_len metric observes chains; leave the fused path.
-        self.stack.set_record_chain(true);
         self.metrics = Some(metrics);
     }
 
@@ -296,17 +284,12 @@ impl KrrModel {
     /// bit-identical with or without a recorder. The default (detached)
     /// hot path costs one branch.
     pub fn set_recorder(&mut self, recorder: ThreadRecorder) {
-        // Stack-update spans carry the chain length; leave the fused path.
-        self.stack.set_record_chain(true);
         self.recorder = Some(recorder);
     }
 
     /// Detaches and returns the flight-recorder handle, if any.
     pub fn take_recorder(&mut self) -> Option<ThreadRecorder> {
-        let rec = self.recorder.take();
-        self.stack
-            .set_record_chain(self.metrics.is_some() || self.sizes.is_some());
-        rec
+        self.recorder.take()
     }
 
     /// The configuration in use.
@@ -357,7 +340,7 @@ impl KrrModel {
                     } else {
                         m.cold_misses.inc();
                     }
-                    m.chain_len.record(self.stack.last_chain().len() as u64);
+                    m.chain_len.record(self.stack.last_chain_len());
                     m.positions_scanned.record(self.stack.last_scanned());
                 }
             }
@@ -367,7 +350,7 @@ impl KrrModel {
         }
         if let Some(rec) = self.recorder.as_ref() {
             if !matches!(outcome, Outcome::Filtered) {
-                let chain = self.stack.last_chain().len() as u64;
+                let chain = self.stack.last_chain_len();
                 if let Some(r0) = r0 {
                     rec.record_since(Phase::StackUpdate, r0, chain);
                 } else if chain >= DEEP_CHAIN_THRESHOLD {
@@ -449,37 +432,25 @@ impl KrrModel {
         match self.sizes {
             None => self.touch_uniform(key),
             Some(ref mut sa) => {
-                match self.stack.position_of(key) {
+                let (phi, outcome) = match self.stack.position_of(key) {
                     Some(phi) => {
                         self.deepest_phi = self.deepest_phi.max(phi);
                         // Byte distance reflects the cache state before this
                         // access, so compute it before any resize.
-                        let d = sa.distance(phi).max(1);
+                        self.hist.record(sa.distance(phi).max(1));
                         let old = self.stack.entry_at(phi).expect("indexed entry").size;
                         sa.on_resize(phi, old, size);
-                        self.stack.access(key, size);
-                        sa.apply(
-                            self.stack.last_chain(),
-                            self.stack.last_chain_sizes(),
-                            phi,
-                            size,
-                        );
-                        self.hist.record(d);
-                        Outcome::Hit
+                        (phi, Outcome::Hit)
                     }
                     None => {
-                        let acc = self.stack.access(key, size);
                         sa.on_insert(size);
-                        sa.apply(
-                            self.stack.last_chain(),
-                            self.stack.last_chain_sizes(),
-                            acc.phi(),
-                            size,
-                        );
                         self.hist.record_cold();
-                        Outcome::Cold
+                        (self.stack.len() as u64 + 1, Outcome::Cold)
                     }
-                }
+                };
+                let mut upd = sa.update(phi, size);
+                self.stack.access_with(key, size, |x, e| upd.step(x, e));
+                outcome
             }
         }
     }
@@ -544,7 +515,7 @@ impl KrrModel {
     pub fn memory_bytes(&self) -> usize {
         self.stack.memory_bytes()
             + self.hist.memory_bytes()
-            + self.sizes.as_ref().map_or(0, krr_sizearray_bytes)
+            + self.sizes.as_ref().map_or(0, SizeArray::memory_bytes)
     }
 
     /// Serializes the full model state — config, spatial filter, stack
@@ -578,13 +549,11 @@ impl KrrModel {
     pub fn load_state(dec: &mut Dec<'_>) -> std::io::Result<Self> {
         let config = KrrConfig::load_state(dec)?;
         let filter = SpatialFilter::new(dec.u64()?, dec.u64()?);
-        let mut stack = KrrStack::load_state(dec)?;
+        let stack = KrrStack::load_state(dec)?;
         let sizes = match dec.u8()? {
             0 => None,
             _ => Some(SizeArray::load_state(dec)?),
         };
-        stack.set_record_chain_sizes(sizes.is_some());
-        stack.set_record_chain(sizes.is_some());
         let hist = SdHistogram::load_state(dec)?;
         let processed = dec.u64()?;
         let sampled = dec.u64()?;

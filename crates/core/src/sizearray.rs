@@ -6,8 +6,13 @@
 //! changes by exactly `size(referenced) − size(object crossing the
 //! boundary)`, and the crossing object is the one at the largest chain
 //! position at or below the boundary — an `O(log M + |chain|)` maintenance
-//! cost. Byte distances for non-boundary positions are interpolated between
-//! the two enclosing boundaries (Algorithm 3).
+//! cost. The stack reports its chain in descending position order
+//! ([`crate::KrrStack::access_with`]), so [`SizeArray::update`] streams it
+//! with a boundary cursor that only moves toward the top: no chain buffer
+//! is kept. Byte distances for non-boundary positions are interpolated
+//! between the two enclosing boundaries (Algorithm 3).
+
+use crate::stack::Entry;
 
 /// Logarithmic cumulative-size index over a KRR stack.
 #[derive(Debug, Clone)]
@@ -60,7 +65,7 @@ impl SizeArray {
     }
 
     /// Registers a cold object appended at the stack end (new position
-    /// `len+1`). Must be called *before* [`SizeArray::apply`] for the same
+    /// `len+1`). Must be called *before* [`SizeArray::update`] for the same
     /// reference so newly created boundaries include the object.
     pub fn on_insert(&mut self, size: u32) {
         self.len += 1;
@@ -79,7 +84,7 @@ impl SizeArray {
 
     /// Adjusts for a referenced object at position `phi` changing size from
     /// `old` to `new` (e.g. an overwriting SET). Must be called *before*
-    /// [`SizeArray::apply`] for the same reference.
+    /// [`SizeArray::update`] for the same reference.
     pub fn on_resize(&mut self, phi: u64, old: u32, new: u32) {
         if old == new {
             return;
@@ -93,31 +98,19 @@ impl SizeArray {
         }
     }
 
-    /// Applies a stack update: the referenced object of size `ref_size`
-    /// moved from `phi` to the top, and the pre-update occupant of each
-    /// swap-chain position moved to the next chain position (the last one to
-    /// `phi`). `chain`/`chain_sizes` come from
-    /// [`crate::stack::KrrStack::last_chain`] and `last_chain_sizes`.
-    pub fn apply(&mut self, chain: &[u64], chain_sizes: &[u32], phi: u64, ref_size: u32) {
-        debug_assert_eq!(chain.len(), chain_sizes.len());
-        if phi <= 1 {
-            return;
-        }
-        debug_assert!(!chain.is_empty() && chain[0] == 1);
-        let mut ci = 0usize;
-        for (t, &b) in self.bounds.iter().enumerate() {
-            if b >= phi {
-                // Boundaries at or below-the-fold of φ see no net change:
-                // both the referenced object and the chain moves stay inside.
-                break;
-            }
-            // Largest chain position <= b; boundaries ascend so ci only grows.
-            while ci + 1 < chain.len() && chain[ci + 1] <= b {
-                ci += 1;
-            }
-            debug_assert!(chain[ci] <= b);
-            let out_size = i64::from(chain_sizes[ci]);
-            self.sums[t] = add_signed(self.sums[t], i64::from(ref_size) - out_size);
+    /// Starts a stack update: the referenced object of size `ref_size`
+    /// moves from `phi` to the top, and the pre-update occupant of each
+    /// swap-chain position moves to the next chain position (the last one
+    /// to `phi`). Feed the returned cursor every chain step, in the
+    /// descending order [`crate::KrrStack::access_with`] reports them.
+    pub fn update(&mut self, phi: u64, ref_size: u32) -> SizeUpdate<'_> {
+        // Boundaries at or below-the-fold of φ see no net change: both the
+        // referenced object and the chain moves stay inside.
+        SizeUpdate {
+            next: self.bounds.partition_point(|&b| b < phi),
+            bounds: &self.bounds,
+            sums: &mut self.sums,
+            ref_size: i64::from(ref_size),
         }
     }
 
@@ -188,6 +181,32 @@ impl SizeArray {
     }
 }
 
+/// Boundary cursor of one [`SizeArray::update`].
+#[derive(Debug)]
+pub struct SizeUpdate<'a> {
+    bounds: &'a [u64],
+    sums: &'a mut [u64],
+    /// `bounds[..next]` lie below `φ` and no chain step has crossed them yet.
+    next: usize,
+    ref_size: i64,
+}
+
+impl SizeUpdate<'_> {
+    /// One chain step at position `x`, where `entry` sat before the update.
+    /// Steps arrive in descending order, so `entry` is the object crossing
+    /// every remaining boundary `b ≥ x`, whose sum changes by
+    /// `ref_size − entry.size`. Most steps cross no boundary and never read
+    /// the entry, keeping its likely cache miss off the update loop.
+    #[inline]
+    pub fn step(&mut self, x: u64, entry: &Entry) {
+        while self.next > 0 && x <= self.bounds[self.next - 1] {
+            self.next -= 1;
+            let delta = self.ref_size - i64::from(entry.size);
+            self.sums[self.next] = add_signed(self.sums[self.next], delta);
+        }
+    }
+}
+
 impl crate::footprint::Footprint for SizeArray {
     fn footprint(&self) -> crate::footprint::FootprintReport {
         let mut r = crate::footprint::FootprintReport::new();
@@ -219,29 +238,20 @@ mod tests {
         for _ in 0..ops {
             let key = rng.below(keys);
             let size = (rng.below(500) + 1) as u32;
-            match stack.position_of(key) {
+            let phi = match stack.position_of(key) {
                 Some(phi) => {
                     let old = stack.entry_at(phi).unwrap().size;
                     sa.on_resize(phi, old, size);
-                    let acc = stack.access(key, size);
-                    sa.apply(
-                        stack.last_chain(),
-                        stack.last_chain_sizes(),
-                        acc.phi(),
-                        size,
-                    );
+                    phi
                 }
                 None => {
-                    let acc = stack.access(key, size);
                     sa.on_insert(size);
-                    sa.apply(
-                        stack.last_chain(),
-                        stack.last_chain_sizes(),
-                        acc.phi(),
-                        size,
-                    );
+                    stack.len() as u64 + 1
                 }
-            }
+            };
+            let mut upd = sa.update(phi, size);
+            let acc = stack.access_with(key, size, |x, e| upd.step(x, e));
+            assert_eq!(acc.phi(), phi);
         }
         // Naive verification of every boundary.
         let sizes: Vec<u64> = stack.iter().map(|e| u64::from(e.size)).collect();
@@ -281,9 +291,9 @@ mod tests {
         let mut stack = KrrStack::new(3.0, UpdaterKind::Backward, 1);
         let mut sa = SizeArray::new(2);
         for key in 0..100u64 {
-            let acc = stack.access(key, 10);
             sa.on_insert(10);
-            sa.apply(stack.last_chain(), stack.last_chain_sizes(), acc.phi(), 10);
+            let mut upd = sa.update(key + 1, 10);
+            stack.access_with(key, 10, |x, e| upd.step(x, e));
         }
         for phi in 1..=100u64 {
             assert_eq!(sa.distance(phi), phi * 10, "phi={phi}");

@@ -7,10 +7,19 @@
 //! `inv[id] = pos`. A hash table maps each key to its id — and because ids
 //! are stable, the hash table is written exactly once per distinct object,
 //! at cold insertion. A stack *update* moves only the objects on the swap
-//! chain produced by one of the [`crate::update`] strategies, and applying
-//! the chain touches nothing but the two flat permutation arrays (no hash
+//! chain, touching nothing but the two flat permutation arrays (no hash
 //! writes on the hot path), which is what makes KRR cheap: the expected
 //! chain length is `O(K·logM)` (Corollary 1).
+//!
+//! Every update is one backward walk over the chain, from `φ` toward the
+//! top: each step moves the entry at chain position `x` down to the
+//! previous step's position. The backward updater (Algorithm 2) draws each
+//! `x` inside that walk, so it never materializes a chain. The naive and
+//! top-down updaters, kept to reproduce Table 5.3, sample their chain into
+//! a buffer first and then walk it in reverse. Either way an observer
+//! passed to [`KrrStack::access_with`] sees each step's position and the
+//! entry there before it moves — what the byte-level [`crate::SizeArray`]
+//! needs.
 
 use crate::checkpoint::{Dec, Enc};
 use crate::hashing::KeyMap;
@@ -84,20 +93,13 @@ pub struct KrrStack {
     k: f64,
     updater: UpdaterKind,
     rng: Xoshiro256,
+    /// Chain buffer of the naive and top-down updaters; the backward
+    /// updater never fills it.
     chain: Vec<u64>,
-    chain_sizes: Vec<u32>,
-    /// Whether updates capture [`Self::last_chain_sizes`]. Only the
-    /// byte-level `sizeArray` maintenance needs them; uniform-size callers
-    /// turn this off to skip the per-chain-element size gather.
-    record_chain_sizes: bool,
-    /// Whether updates materialize [`Self::last_chain`]. On by default;
-    /// [`crate::KrrModel`] turns it off when nothing observes chains
-    /// (no metrics, no recorder, no `sizeArray`), unlocking the fused
-    /// backward update that samples and applies each swap in one pass.
-    record_chain: bool,
     /// Shared small-`c` inverse-CDF cutoff table ([`InvCdfTable`]), built
-    /// lazily on the first fused update and cached process-wide per `k`.
+    /// lazily on the first backward update and cached process-wide per `k`.
     lut: Option<Arc<InvCdfTable>>,
+    last_chain_len: u64,
     last_scanned: u64,
 }
 
@@ -116,32 +118,10 @@ impl KrrStack {
             updater,
             rng: Xoshiro256::seed_from_u64(seed),
             chain: Vec::new(),
-            chain_sizes: Vec::new(),
-            record_chain_sizes: true,
-            record_chain: true,
             lut: None,
+            last_chain_len: 0,
             last_scanned: 0,
         }
-    }
-
-    /// Enables or disables capturing [`Self::last_chain_sizes`] on each
-    /// update (on by default). Uniform-size profiling never reads them, so
-    /// [`crate::KrrModel`] switches this off unless a `sizeArray` is
-    /// attached.
-    pub fn set_record_chain_sizes(&mut self, on: bool) {
-        self.record_chain_sizes = on;
-    }
-
-    /// Enables or disables materializing [`Self::last_chain`] on each
-    /// update (on by default). With chains unobserved (off, and chain
-    /// sizes off too) the backward updater runs *fused*: each inverse-CDF
-    /// draw is applied to the permutation immediately, skipping the chain
-    /// buffer, its reversal, and the second pass — same RNG stream, same
-    /// swaps, measurably faster. [`Self::last_chain`] reads empty for
-    /// accesses that took the fused path ([`Self::last_scanned`] is still
-    /// maintained).
-    pub fn set_record_chain(&mut self, on: bool) {
-        self.record_chain = on;
     }
 
     /// Number of distinct objects on the stack (the paper's `γ_t` / `M`).
@@ -178,21 +158,13 @@ impl KrrStack {
             .map(|&id| &self.slots[id as usize])
     }
 
-    /// The swap chain of the most recent [`KrrStack::access`]: strictly
-    /// ascending 1-based positions starting at 1, excluding the implicit
-    /// terminal swap at `φ`. Empty when the last access had `φ = 1` (or no
+    /// Length of the swap chain of the most recent [`KrrStack::access`]:
+    /// the number of positions, from 1 up to but excluding `φ`, whose
+    /// entries moved down. 0 when the last access had `φ = 1` (or no
     /// access has happened).
     #[must_use]
-    pub fn last_chain(&self) -> &[u64] {
-        &self.chain
-    }
-
-    /// Pre-update sizes of the entries that sat at [`Self::last_chain`]
-    /// positions, parallel to `last_chain()`. Needed by the byte-level
-    /// `sizeArray` maintenance (§4.4.1).
-    #[must_use]
-    pub fn last_chain_sizes(&self) -> &[u32] {
-        &self.chain_sizes
+    pub fn last_chain_len(&self) -> u64 {
+        self.last_chain_len
     }
 
     /// Stack positions the update strategy examined during the most recent
@@ -207,7 +179,19 @@ impl KrrStack {
     /// Processes one reference: finds the object's stack distance, samples a
     /// swap chain with the configured strategy, and applies the cyclic shift
     /// that moves the referenced object to the stack top.
+    #[inline]
     pub fn access(&mut self, key: u64, size: u32) -> Access {
+        self.access_with(key, size, |_, _| {})
+    }
+
+    /// [`KrrStack::access`] that reports each chain step to `on_step`:
+    /// called with the chain positions in descending order (the last call
+    /// is position 1), and for each with the entry that sat at that
+    /// position before this update, just before it moves down. The
+    /// terminal position `φ` itself is not reported. Not called at all
+    /// when `φ = 1`.
+    #[inline]
+    pub fn access_with(&mut self, key: u64, size: u32, on_step: impl FnMut(u64, &Entry)) -> Access {
         let (phi, result) = match self.index.get(&key) {
             Some(&id) => {
                 let phi = u64::from(self.inv[id as usize]) + 1;
@@ -228,97 +212,77 @@ impl KrrStack {
                 (pos, Access::Cold { stack_len: pos })
             }
         };
-        self.update(phi);
+        self.update(phi, on_step);
         result
     }
 
     /// Samples the swap chain for a reference at stack distance `phi` and
-    /// applies it.
-    fn update(&mut self, phi: u64) {
-        self.chain.clear();
-        self.chain_sizes.clear();
+    /// applies it as a cyclic shift: walking the chain from `φ` toward the
+    /// top, the entry at each chain position moves down to the previously
+    /// visited position, and the referenced object lands on top. Positions
+    /// are visited in descending order, so the entry at each one is still
+    /// in place when `on_step` sees it. Only the permutation arrays
+    /// change — ids are stable, so the key index is untouched.
+    #[inline]
+    fn update(&mut self, phi: u64, mut on_step: impl FnMut(u64, &Entry)) {
+        self.last_chain_len = 0;
         self.last_scanned = 0;
         if phi <= 1 {
             return;
         }
-        if !self.record_chain && !self.record_chain_sizes && self.updater == UpdaterKind::Backward {
-            self.update_fused_backward(phi);
-            return;
-        }
-        self.last_scanned =
-            update::swap_chain(self.updater, phi, self.k, &mut self.rng, &mut self.chain);
-        debug_assert!(self.chain.first() == Some(&1));
-        debug_assert!(self.chain.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(*self.chain.last().unwrap() < phi);
-
-        // Record pre-update sizes for sizeArray maintenance (skipped in
-        // uniform-size mode), then perform the cyclic shift: the entry at
-        // chain[j] moves down to chain[j+1] (the last one moves to φ) and
-        // the referenced object moves to the top. Only the two permutation
-        // arrays are touched — ids are stable, so the key index needs no
-        // updates here.
-        if self.record_chain_sizes {
-            self.chain_sizes.extend(
-                self.chain
-                    .iter()
-                    .map(|&p| self.slots[self.perm[p as usize - 1] as usize].size),
-            );
-        }
-
-        let id_ref = self.perm[phi as usize - 1];
-        let mut dest = phi as usize;
-        for &src in self.chain.iter().rev() {
-            let src = src as usize;
-            let id = self.perm[src - 1];
-            self.perm[dest - 1] = id;
-            self.inv[id as usize] = (dest - 1) as u32;
-            dest = src;
-        }
-        debug_assert_eq!(dest, 1);
-        self.perm[0] = id_ref;
-        self.inv[id_ref as usize] = 0;
-    }
-
-    /// The backward update with sampling and application fused into one
-    /// pass: Algorithm 2 generates swap positions from `φ` back toward the
-    /// top — exactly the order the cyclic shift applies them in — so when
-    /// no observer needs the chain materialized, each draw moves its entry
-    /// immediately. Draw-for-draw identical to `backward_chain` + the
-    /// two-pass apply (same `unit_open_low` stream, same
-    /// `⌈r^{1/K}·(i−1)⌉` positions), which `fused_update_is_bit_identical`
-    /// locks in.
-    fn update_fused_backward(&mut self, phi: u64) {
-        if self.lut.is_none() {
-            self.lut = Some(InvCdfTable::for_k(self.k));
-        }
-        let table = self.lut.as_deref().expect("table just built");
-        let inv_k = 1.0 / self.k;
-        let id_ref = self.perm[phi as usize - 1];
+        let (slots, perm, inv) = (&self.slots, &mut self.perm, &mut self.inv);
+        let id_ref = perm[phi as usize - 1];
         let mut dest = phi;
-        let mut scanned = 0u64;
-        while dest > 1 {
-            let c = dest - 1;
-            // One 53-bit draw per jump, answered three ways that are all
-            // bit-identical to `unit_open_low` + the powf formula: c = 1 is
-            // always position 1, small c comes from the integer cutoff
-            // table, large c evaluates the float pipeline directly.
-            let m = self.rng.next_u64() >> 11;
-            let x = if c == 1 {
-                1
-            } else if c <= lut::CMAX {
-                table.position(m, c)
-            } else {
-                let r = 1.0 - m as f64 * (1.0 / (1u64 << 53) as f64);
-                ((r.powf(inv_k) * c as f64).ceil() as u64).clamp(1, c)
-            };
-            scanned += 1;
-            let id = self.perm[x as usize - 1];
-            self.perm[dest as usize - 1] = id;
-            self.inv[id as usize] = (dest - 1) as u32;
+        let mut step = |x: u64| {
+            let id = perm[x as usize - 1];
+            on_step(x, &slots[id as usize]);
+            perm[dest as usize - 1] = id;
+            inv[id as usize] = (dest - 1) as u32;
             dest = x;
-        }
-        self.perm[0] = id_ref;
-        self.inv[id_ref as usize] = 0;
+        };
+        let (chain_len, scanned) = if self.updater == UpdaterKind::Backward {
+            // Algorithm 2 emits positions in exactly this descending order,
+            // so each inverse-CDF draw moves its entry immediately.
+            // Draw-for-draw identical to `update::backward_chain` (same
+            // 53-bit draws, same `⌈r^{1/K}·(i−1)⌉` positions), which
+            // `fused_update_is_bit_identical` locks in.
+            let table: &InvCdfTable = self.lut.get_or_insert_with(|| InvCdfTable::for_k(self.k));
+            let inv_k = 1.0 / self.k;
+            let mut i = phi;
+            let mut jumps = 0u64;
+            while i > 1 {
+                let c = i - 1;
+                // One 53-bit draw per jump, answered three ways that are
+                // all bit-identical to `unit_open_low` + the powf formula:
+                // c = 1 is always position 1, small c comes from the
+                // integer cutoff table, large c evaluates the float
+                // pipeline directly.
+                let m = self.rng.next_u64() >> 11;
+                i = if c == 1 {
+                    1
+                } else if c <= lut::CMAX {
+                    table.position(m, c)
+                } else {
+                    let r = 1.0 - m as f64 * (1.0 / (1u64 << 53) as f64);
+                    ((r.powf(inv_k) * c as f64).ceil() as u64).clamp(1, c)
+                };
+                step(i);
+                jumps += 1;
+            }
+            (jumps, jumps)
+        } else {
+            self.chain.clear();
+            let scanned =
+                update::swap_chain(self.updater, phi, self.k, &mut self.rng, &mut self.chain);
+            for &x in self.chain.iter().rev() {
+                step(x);
+            }
+            (self.chain.len() as u64, scanned)
+        };
+        debug_assert_eq!(dest, 1);
+        perm[0] = id_ref;
+        inv[id_ref as usize] = 0;
+        self.last_chain_len = chain_len;
         self.last_scanned = scanned;
     }
 
@@ -384,10 +348,8 @@ impl KrrStack {
             updater,
             rng,
             chain: Vec::new(),
-            chain_sizes: Vec::new(),
-            record_chain_sizes: true,
-            record_chain: true,
             lut: None,
+            last_chain_len: 0,
             last_scanned: 0,
         })
     }
@@ -397,21 +359,17 @@ impl KrrStack {
     /// accounting).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        let entries = self.slots.capacity() * std::mem::size_of::<Entry>()
-            + self.perm.capacity() * std::mem::size_of::<u32>()
-            + self.inv.capacity() * std::mem::size_of::<u32>();
-        // hashbrown stores (key, value) pairs plus one control byte per
-        // slot at ~8/7 slack.
-        let index = self.index.capacity() * (std::mem::size_of::<(u64, u32)>() + 1) * 8 / 7;
-        entries + index
+        use crate::footprint::Footprint;
+        let r = self.footprint();
+        r.get("stack_entries") + r.get("stack_index")
     }
 }
 
 impl crate::footprint::Footprint for KrrStack {
     /// The §5.6 space breakdown: the entry storage (slots plus both
     /// permutation arrays), the key index (same model as
-    /// [`KrrStack::memory_bytes`]), and the reusable swap-chain scratch
-    /// buffers.
+    /// [`KrrStack::memory_bytes`]), and the chain buffer of the naive and
+    /// top-down updaters (empty under the backward updater).
     fn footprint(&self) -> crate::footprint::FootprintReport {
         let mut r = crate::footprint::FootprintReport::new();
         r.add(
@@ -426,8 +384,7 @@ impl crate::footprint::Footprint for KrrStack {
         )
         .add(
             "stack_scratch",
-            self.chain.capacity() * std::mem::size_of::<u64>()
-                + self.chain_sizes.capacity() * std::mem::size_of::<u32>(),
+            self.chain.capacity() * std::mem::size_of::<u64>(),
         );
         r
     }
@@ -455,11 +412,7 @@ mod tests {
 
     #[test]
     fn referenced_object_moves_to_top() {
-        for updater in [
-            UpdaterKind::Naive,
-            UpdaterKind::TopDown,
-            UpdaterKind::Backward,
-        ] {
+        for updater in UpdaterKind::ALL {
             let mut s = stack(4.0, updater);
             for key in 0..50u64 {
                 s.access(key, 1);
@@ -472,11 +425,7 @@ mod tests {
 
     #[test]
     fn stack_remains_a_permutation() {
-        for updater in [
-            UpdaterKind::Naive,
-            UpdaterKind::TopDown,
-            UpdaterKind::Backward,
-        ] {
+        for updater in UpdaterKind::ALL {
             let mut s = stack(3.0, updater);
             let mut rng = Xoshiro256::seed_from_u64(1);
             for _ in 0..5000 {
@@ -562,33 +511,72 @@ mod tests {
 
     #[test]
     fn fused_update_is_bit_identical() {
-        // Same seed, same reference sequence: the fused backward update
-        // must consume the identical RNG stream and land every object on
-        // the identical position as the materialize-then-apply path.
-        let k = 5.0f64.powf(1.4);
-        let mut generic = stack(k, UpdaterKind::Backward);
-        let mut fused = stack(k, UpdaterKind::Backward);
-        fused.set_record_chain(false);
-        fused.set_record_chain_sizes(false);
-        let mut rng = Xoshiro256::seed_from_u64(3);
-        for _ in 0..20_000 {
-            let key = rng.below(800);
-            assert_eq!(generic.access(key, 1), fused.access(key, 1));
-            assert_eq!(generic.last_scanned(), fused.last_scanned());
+        // Same seed, same reference sequence: the one-pass backward update
+        // (cutoff table, float fallback, in-place moves) must consume the
+        // identical RNG stream and land every object on the identical
+        // position as `backward_chain` + a cyclic shift on a plain `Vec` —
+        // also across a checkpoint boundary in mid-trace.
+        for k in [1.0, 5.0f64.powf(1.4), 16.0f64.powf(1.4)] {
+            let mut s = stack(k, UpdaterKind::Backward);
+            let (mut keys, mut chain) = (Vec::new(), Vec::new());
+            let mut ref_rng = Xoshiro256::seed_from_u64(0xDEAD_BEEF);
+            let mut rng = Xoshiro256::seed_from_u64(3);
+            for i in 0..20_000 {
+                if i == 10_000 {
+                    let mut enc = Enc::new();
+                    s.save_state(&mut enc);
+                    s = KrrStack::load_state(&mut Dec::new(&enc.into_bytes())).unwrap();
+                }
+                let key = rng.below(800);
+                let expect = match keys.iter().position(|&x| x == key) {
+                    Some(p) => Access::Hit { phi: p as u64 + 1 },
+                    None => {
+                        keys.push(key);
+                        Access::Cold {
+                            stack_len: keys.len() as u64,
+                        }
+                    }
+                };
+                let phi = expect.phi();
+                chain.clear();
+                let scanned = if phi > 1 {
+                    update::backward_chain(phi, k, &mut ref_rng, &mut chain)
+                } else {
+                    0
+                };
+                let mut dest = phi as usize;
+                for &src in chain.iter().rev() {
+                    keys[dest - 1] = keys[src as usize - 1];
+                    dest = src as usize;
+                }
+                keys[0] = key;
+                assert_eq!(s.access(key, 1), expect, "K={k} ref {i}");
+                assert_eq!(s.last_chain_len(), chain.len() as u64, "K={k} ref {i}");
+                assert_eq!(s.last_scanned(), scanned, "K={k} ref {i}");
+            }
+            let order: Vec<u64> = s.iter().map(|e| e.key).collect();
+            assert_eq!(order, keys, "K={k}");
         }
-        let a: Vec<_> = generic.iter().collect();
-        let b: Vec<_> = fused.iter().collect();
-        assert_eq!(a, b);
     }
 
     #[test]
-    fn chain_sizes_parallel_chain() {
-        let mut s = stack(8.0, UpdaterKind::Backward);
-        for key in 0..200u64 {
-            s.access(key, (key % 7 + 1) as u32);
+    fn observer_sees_descending_chain_with_pre_update_sizes() {
+        for updater in UpdaterKind::ALL {
+            let mut s = stack(8.0, updater);
+            for key in 0..200u64 {
+                s.access(key, key as u32 + 1);
+            }
+            // The deepest key sits at the bottom; record what each chain
+            // position held before the update.
+            let before: Vec<u32> = s.iter().map(|e| e.size).collect();
+            let mut steps = Vec::new();
+            s.access_with(0, 1, |x, e| steps.push((x, e.size)));
+            assert_eq!(steps.len() as u64, s.last_chain_len(), "{updater:?}");
+            assert_eq!(steps.last().map(|&(x, _)| x), Some(1), "{updater:?}");
+            assert!(steps.windows(2).all(|w| w[0].0 > w[1].0), "{updater:?}");
+            for (x, size) in steps {
+                assert_eq!(size, before[x as usize - 1], "{updater:?} x={x}");
+            }
         }
-        s.access(0, 1); // deep hit -> non-trivial chain
-        assert_eq!(s.last_chain().len(), s.last_chain_sizes().len());
-        assert!(!s.last_chain().is_empty());
     }
 }

@@ -91,39 +91,30 @@ fn eviction_probability_identities() {
 }
 
 /// sizeArray boundary sums remain exact prefix sums under arbitrary
-/// reference sequences with resizes.
+/// reference sequences with resizes, for every updater.
 #[test]
 fn sizearray_exactness() {
     check("sizearray_exactness", 64, |g| {
         let ops = g.vec(1, 600, |g| (g.u64(0, 100), g.u32(1, 1_000)));
         let base = g.u64(2, 6);
         let seed = g.any_u64();
-        let mut stack = krr::core::KrrStack::new(4.0, UpdaterKind::Backward, seed);
+        let updater = UpdaterKind::ALL[g.usize(0, 3)];
+        let mut stack = krr::core::KrrStack::new(4.0, updater, seed);
         let mut sa = krr::core::SizeArray::new(base);
         for &(key, size) in &ops {
-            match stack.position_of(key) {
+            let phi = match stack.position_of(key) {
                 Some(phi) => {
                     let old = stack.entry_at(phi).unwrap().size;
                     sa.on_resize(phi, old, size);
-                    let acc = stack.access(key, size);
-                    sa.apply(
-                        stack.last_chain(),
-                        stack.last_chain_sizes(),
-                        acc.phi(),
-                        size,
-                    );
+                    phi
                 }
                 None => {
-                    let acc = stack.access(key, size);
                     sa.on_insert(size);
-                    sa.apply(
-                        stack.last_chain(),
-                        stack.last_chain_sizes(),
-                        acc.phi(),
-                        size,
-                    );
+                    stack.len() as u64 + 1
                 }
-            }
+            };
+            let mut upd = sa.update(phi, size);
+            stack.access_with(key, size, |x, e| upd.step(x, e));
         }
         let sizes: Vec<u64> = stack.iter().map(|e| u64::from(e.size)).collect();
         let mut bound = 1u64;
