@@ -57,10 +57,12 @@ use krr_core::expo::{ExpoServer, ExpoSources, MrcCell};
 use krr_core::forensics::{Exemplar, ExemplarRing};
 use krr_core::obs::{FlightRecorder, Phase};
 use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Maximum retained slow-log entries (Redis's `slowlog-max-len` default).
 pub const SLOWLOG_MAX_LEN: usize = 128;
@@ -131,23 +133,11 @@ struct ServerObs {
     expo: Mutex<Option<ExpoServer>>,
 }
 
-/// Handle to a running server.
-pub struct Server {
-    addr: std::net::SocketAddr,
-    store: Arc<Mutex<MiniRedis>>,
-    stop: Arc<AtomicBool>,
-    recorder: Arc<FlightRecorder>,
-    obs: Arc<ServerObs>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Server {
-    /// Starts a server on an ephemeral localhost port. The server's flight
-    /// recorder is attached to the store, so profiler/watchdog activity
-    /// shows up in `TRACE DUMP` alongside per-command spans.
-    pub fn start(mut store: MiniRedis) -> io::Result<Server> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
+impl ServerObs {
+    /// Builds the observability state and attaches its flight recorder and
+    /// live cells to `store`, so profiler/watchdog activity shows up in
+    /// `TRACE DUMP` alongside per-command spans.
+    fn attach(store: &mut MiniRedis) -> Self {
         let recorder = Arc::new(FlightRecorder::new());
         store.set_recorder(Arc::clone(&recorder));
         let mrc_cell = Arc::new(MrcCell::new());
@@ -164,26 +154,63 @@ impl Server {
             exemplars: Some(Arc::clone(&exemplars)),
             profiler: Some(Arc::clone(recorder.profiler())),
         };
-        let store = Arc::new(Mutex::new(store));
-        let stop = Arc::new(AtomicBool::new(false));
-        let obs = Arc::new(ServerObs {
-            recorder: Arc::clone(&recorder),
+        Self {
+            recorder,
             slowlog: SlowLog::new(),
             exemplars,
             next_conn: AtomicU64::new(0),
             expo_sources,
             expo: Mutex::new(None),
-        });
+        }
+    }
+}
+
+/// Socket read timeout of a connection thread: it lets idle workers
+/// notice the stop flag instead of blocking forever in `read` (which would
+/// deadlock `shutdown` while a client holds its connection open).
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Handle to a running server.
+pub struct Server {
+    addr: std::net::SocketAddr,
+    store: Arc<Mutex<MiniRedis>>,
+    stop: Arc<AtomicBool>,
+    obs: Arc<ServerObs>,
+    /// Connection threads not yet joined. The accept loop joins the
+    /// finished ones whenever a new connection arrives; `shutdown` joins
+    /// the rest.
+    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    accept_thread: Option<JoinHandle<()>>,
+}
+
+impl Server {
+    /// Starts a server on an ephemeral localhost port. The server's flight
+    /// recorder is attached to the store, so profiler/watchdog activity
+    /// shows up in `TRACE DUMP` alongside per-command spans.
+    pub fn start(mut store: MiniRedis) -> io::Result<Server> {
+        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        let addr = listener.local_addr()?;
+        let obs = Arc::new(ServerObs::attach(&mut store));
+        let store = Arc::new(Mutex::new(store));
+        let stop = Arc::new(AtomicBool::new(false));
+        let workers = Arc::new(Mutex::new(Vec::new()));
         let accept_store = Arc::clone(&store);
         let accept_stop = Arc::clone(&stop);
         let accept_obs = Arc::clone(&obs);
+        let accept_workers = Arc::clone(&workers);
         let accept_thread = std::thread::spawn(move || {
             // Non-blocking accept loop so SHUTDOWN can terminate us.
             listener.set_nonblocking(true).expect("set_nonblocking");
-            let mut workers = Vec::new();
             while !accept_stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((conn, _)) => {
+                        let mut workers = accept_workers.lock().expect("workers poisoned");
+                        reap_finished(&mut workers);
+                        if conn.set_nodelay(true).is_err()
+                            || conn.set_read_timeout(Some(READ_TIMEOUT)).is_err()
+                        {
+                            continue;
+                        }
                         let store = Arc::clone(&accept_store);
                         let stop = Arc::clone(&accept_stop);
                         let obs = Arc::clone(&accept_obs);
@@ -192,21 +219,18 @@ impl Server {
                         }));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
+                        std::thread::sleep(Duration::from_millis(2));
                     }
                     Err(_) => break,
                 }
-            }
-            for w in workers {
-                let _ = w.join();
             }
         });
         Ok(Server {
             addr,
             store,
             stop,
-            recorder,
             obs,
+            workers,
             accept_thread: Some(accept_thread),
         })
     }
@@ -227,7 +251,7 @@ impl Server {
     /// by an embedding test/benchmark).
     #[must_use]
     pub fn recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
+        &self.obs.recorder
     }
 
     /// The server's socket address.
@@ -249,6 +273,10 @@ impl Server {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
+        let workers = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
+        for w in workers {
+            let _ = w.join();
+        }
         if let Some(mut expo) = self.obs.expo.lock().expect("expo poisoned").take() {
             expo.shutdown();
         }
@@ -261,12 +289,99 @@ impl Drop for Server {
     }
 }
 
+/// Joins every connection thread in `workers` that has already exited,
+/// so connection churn does not pile up exited threads and their stacks.
+fn reap_finished(workers: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < workers.len() {
+        if workers[i].is_finished() {
+            let _ = workers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
 fn parse_key(data: &[u8]) -> Option<u64> {
     std::str::from_utf8(data).ok()?.parse().ok()
 }
 
-fn serve_connection(
-    conn: TcpStream,
+/// Most reply bytes a connection holds before writing them out.
+const PENDING_CAP: usize = 64 << 10;
+
+/// A connection's byte stream plus the replies not yet written to it.
+///
+/// Replies are appended to `pending`, which goes out in one write just
+/// before any read from the stream, as soon as the connection loop has
+/// consumed all buffered input, and when it reaches [`PENDING_CAP`].
+/// Writing before every read is what makes batching safe: the thread
+/// never blocks for input while replies wait, even when the read buffer
+/// ends in a partial command.
+struct Conn<S> {
+    stream: S,
+    pending: Vec<u8>,
+}
+
+impl<S: Write> Conn<S> {
+    fn new(stream: S) -> Self {
+        Self {
+            stream,
+            pending: Vec::new(),
+        }
+    }
+
+    /// Writes the pending replies in one call.
+    fn drain(&mut self) -> io::Result<()> {
+        if !self.pending.is_empty() {
+            self.stream.write_all(&self.pending)?;
+            self.pending.clear();
+        }
+        Ok(())
+    }
+}
+
+impl<S: Read + Write> Read for Conn<S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.drain()?;
+        self.stream.read(buf)
+    }
+}
+
+impl<S: Write> Write for Conn<S> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.pending.len() + buf.len() > PENDING_CAP {
+            self.drain()?;
+        }
+        if buf.len() >= PENDING_CAP {
+            self.stream.write_all(buf)?;
+        } else {
+            self.pending.extend_from_slice(buf);
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.drain()?;
+        self.stream.flush()
+    }
+}
+
+/// Serves one connection until EOF, a protocol error, an I/O error or the
+/// stop flag, then writes whatever replies are still pending.
+fn serve_connection<S: Read + Write>(
+    stream: S,
+    store: &Mutex<MiniRedis>,
+    stop: &AtomicBool,
+    obs: &ServerObs,
+) -> io::Result<()> {
+    let mut reader = BufReader::new(Conn::new(stream));
+    let served = serve_requests(&mut reader, store, stop, obs);
+    let written = reader.get_mut().flush();
+    served.and(written)
+}
+
+fn serve_requests<S: Read + Write>(
+    reader: &mut BufReader<Conn<S>>,
     store: &Mutex<MiniRedis>,
     stop: &AtomicBool,
     obs: &ServerObs,
@@ -275,13 +390,6 @@ fn serve_connection(
     let rec = obs.recorder.register(&format!("conn-{conn_id}"));
     // Grabbed once so the exemplar capture path never takes the store lock.
     let metrics = Arc::clone(store.lock().expect("store poisoned").metrics());
-    conn.set_nodelay(true)?;
-    // A read timeout lets idle workers notice the stop flag instead of
-    // blocking forever in `read` (which would deadlock `shutdown` while a
-    // client holds its connection open).
-    conn.set_read_timeout(Some(std::time::Duration::from_millis(50)))?;
-    let mut reader = BufReader::new(conn.try_clone()?);
-    let mut writer = BufWriter::new(conn);
     // Per-connection tenant selection (`TENANT` command), like a Redis
     // `SELECT`ed database: it scopes this connection's GETs for fleet
     // profiling and resets when the connection closes.
@@ -292,7 +400,6 @@ fn serve_connection(
         }
         // Probe for data without committing to a full-message read; a
         // timeout mid-probe keeps the buffered stream consistent.
-        use std::io::BufRead;
         match reader.fill_buf() {
             Ok([]) => return Ok(()), // clean EOF
             Ok(_) => {}
@@ -303,114 +410,162 @@ fn serve_connection(
             }
             Err(e) => return Err(e),
         }
-        let request = match read_value(&mut reader) {
+        let request = match read_value(reader) {
             Ok(v) => v,
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Protocol violation (oversized claim, bad tag, broken
                 // framing): report it like redis does, then hang up —
                 // the byte stream cannot be resynchronized.
-                use std::io::Write;
-                let _ = write_value(
-                    &mut writer,
+                return write_value(
+                    reader.get_mut(),
                     &Value::Error(format!("ERR Protocol error: {e}")),
                 );
-                let _ = writer.flush();
-                return Ok(());
             }
             Err(e) => return Err(e),
         };
         let request_id = obs.exemplars.next_request_id();
         let t0 = rec.now_ns();
-        let reply = handle(&request, store, stop, obs, &mut tenant);
+        let command = Request::decode(&request);
+        let reply = match &command {
+            Ok(req) => handle(req, store, stop, obs, &mut tenant),
+            Err(msg) => Value::Error((*msg).into()),
+        };
         let dur = rec.now_ns() - t0;
-        write_value(&mut writer, &reply)?;
-        use std::io::Write;
-        writer.flush()?;
-        // Forensics run strictly after the reply is on the wire: the
-        // capture cost (it lands on exactly the tail requests) must not
-        // inflate the latency the client observes. `dur` was taken
-        // before the write, so it remains pure service time.
-        if let Value::Array(parts) = &request {
-            let argv: Vec<&[u8]> = parts
-                .iter()
-                .filter_map(|p| match p {
-                    Value::Bulk(Some(data)) => Some(data.as_slice()),
-                    _ => None,
-                })
-                .collect();
-            let tag = argv.first().map_or(0, |c| command_tag(c));
-            // Pack the tenant into the span arg (0 = none) so trace spans
-            // are attributable in fleet mode; the trace writer unpacks it.
-            let span_arg = match tenant {
-                Some(t) => tag | ((t + 1) << 8),
-                None => tag,
-            };
-            rec.record(Phase::Command, t0, dur, span_arg);
-            obs.slowlog.offer(t0, dur, &argv, tenant);
-            if obs.exemplars.observe(dur) {
-                // Tail request: join the span key with the counter context
-                // a post-mortem needs. All reads are lock-free.
-                obs.exemplars.capture(&Exemplar {
-                    request_id,
-                    tenant,
-                    latency_ns: dur,
-                    start_ns: t0,
-                    command_tag: tag as u8,
-                    scrape_in_progress: obs.exemplars.scrape_in_progress(),
-                    router_parks: metrics.pipeline_router_parks.get(),
-                    worker_parks: metrics.pipeline_worker_parks.get(),
-                    deep_chains: metrics.chain_len.count(),
-                });
-            }
+        write_value(reader.get_mut(), &reply)?;
+        if reader.buffer().is_empty() {
+            reader.get_mut().drain()?;
+        }
+        // Forensics run after the reply is queued and, for a lone command
+        // or the last of a pipelined batch, written: the capture cost (it
+        // lands on exactly the tail requests) must not inflate the latency
+        // the client observes. `dur` was taken before the write, so it
+        // remains pure service time.
+        let Ok(req) = &command else { continue };
+        let tag = req.cmd.map_or(0, Command::tag);
+        // Pack the tenant into the span arg (0 = none) so trace spans
+        // are attributable in fleet mode; the trace writer unpacks it.
+        let span_arg = match tenant {
+            Some(t) => tag | ((t + 1) << 8),
+            None => tag,
+        };
+        rec.record(Phase::Command, t0, dur, span_arg);
+        obs.slowlog.offer(t0, dur, &req.argv, tenant);
+        if obs.exemplars.observe(dur) {
+            // Tail request: first write the replies queued ahead of the
+            // capture, then join the span key with the counter context a
+            // post-mortem needs. All reads are lock-free.
+            reader.get_mut().drain()?;
+            obs.exemplars.capture(&Exemplar {
+                request_id,
+                tenant,
+                latency_ns: dur,
+                start_ns: t0,
+                command_tag: tag as u8,
+                scrape_in_progress: obs.exemplars.scrape_in_progress(),
+                router_parks: metrics.pipeline_router_parks.get(),
+                worker_parks: metrics.pipeline_worker_parks.get(),
+                deep_chains: metrics.chain_len.count(),
+            });
         }
     }
 }
 
-/// Stable numeric tag identifying a command in trace-event args.
-fn command_tag(cmd: &[u8]) -> u64 {
-    match cmd.to_ascii_uppercase().as_slice() {
-        b"PING" => 1,
-        b"GET" => 2,
-        b"SET" => 3,
-        b"DEL" => 4,
-        b"DBSIZE" => 5,
-        b"INFO" => 6,
-        b"METRICS" => 7,
-        b"MRC" => 8,
-        b"SHUTDOWN" => 9,
-        b"TRACE" => 10,
-        b"SLOWLOG" => 11,
-        b"CONFIG" => 12,
-        b"BGSAVE" => 13,
-        b"TENANT" => 14,
-        _ => 0,
+/// A command the server knows. The discriminant is the stable numeric tag
+/// that trace spans, slow-log consumers and exemplars carry (0 = unknown).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Command {
+    Ping = 1,
+    Get = 2,
+    Set = 3,
+    Del = 4,
+    Dbsize = 5,
+    Info = 6,
+    Metrics = 7,
+    Mrc = 8,
+    Shutdown = 9,
+    Trace = 10,
+    Slowlog = 11,
+    Config = 12,
+    Bgsave = 13,
+    Tenant = 14,
+}
+
+/// Every command with its name, matched case-insensitively.
+const COMMANDS: [(&[u8], Command); 14] = [
+    (b"PING", Command::Ping),
+    (b"GET", Command::Get),
+    (b"SET", Command::Set),
+    (b"DEL", Command::Del),
+    (b"DBSIZE", Command::Dbsize),
+    (b"INFO", Command::Info),
+    (b"METRICS", Command::Metrics),
+    (b"MRC", Command::Mrc),
+    (b"SHUTDOWN", Command::Shutdown),
+    (b"TRACE", Command::Trace),
+    (b"SLOWLOG", Command::Slowlog),
+    (b"CONFIG", Command::Config),
+    (b"BGSAVE", Command::Bgsave),
+    (b"TENANT", Command::Tenant),
+];
+
+impl Command {
+    /// Looks a command name up without allocating.
+    fn decode(name: &[u8]) -> Option<Command> {
+        COMMANDS
+            .iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|&(_, cmd)| cmd)
+    }
+
+    fn tag(self) -> u64 {
+        self as u64
+    }
+}
+
+/// A request as an argument vector, with its command name decoded once.
+struct Request<'a> {
+    argv: Vec<&'a [u8]>,
+    cmd: Option<Command>,
+}
+
+impl<'a> Request<'a> {
+    /// Splits a command array of bulk strings, or names what is wrong.
+    fn decode(request: &'a Value) -> Result<Self, &'static str> {
+        let Value::Array(parts) = request else {
+            return Err("ERR expected command array");
+        };
+        let argv = parts
+            .iter()
+            .map(|p| match p {
+                Value::Bulk(Some(data)) => Ok(data.as_slice()),
+                _ => Err("ERR expected bulk-string arguments"),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let cmd = argv.first().and_then(|name| Command::decode(name));
+        Ok(Self { argv, cmd })
     }
 }
 
 fn handle(
-    request: &Value,
+    req: &Request<'_>,
     store: &Mutex<MiniRedis>,
     stop: &AtomicBool,
     obs: &ServerObs,
     tenant: &mut Option<u64>,
 ) -> Value {
-    let Value::Array(parts) = request else {
-        return Value::Error("ERR expected command array".into());
-    };
-    let mut args = Vec::with_capacity(parts.len());
-    for p in parts {
-        match p {
-            Value::Bulk(Some(data)) => args.push(data.as_slice()),
-            _ => return Value::Error("ERR expected bulk-string arguments".into()),
-        }
-    }
-    let Some((cmd, rest)) = args.split_first() else {
+    let Some((name, rest)) = req.argv.split_first() else {
         return Value::Error("ERR empty command".into());
     };
-    match cmd.to_ascii_uppercase().as_slice() {
-        b"PING" => Value::Simple("PONG".into()),
-        b"GET" => {
+    let Some(cmd) = req.cmd else {
+        return Value::Error(format!(
+            "ERR unknown command {:?}",
+            String::from_utf8_lossy(&name.to_ascii_uppercase())
+        ));
+    };
+    match cmd {
+        Command::Ping => Value::Simple("PONG".into()),
+        Command::Get => {
             let [key] = rest else {
                 return Value::Error("ERR wrong arity for GET".into());
             };
@@ -425,7 +580,7 @@ fn handle(
                 Value::null()
             }
         }
-        b"SET" => {
+        Command::Set => {
             let [key, value] = rest else {
                 return Value::Error("ERR wrong arity for SET".into());
             };
@@ -438,12 +593,12 @@ fn handle(
                 .set(key, value.len() as u32);
             Value::Simple("OK".into())
         }
-        b"DEL" => {
+        Command::Del => {
             // Mini-redis has no user-facing delete; report 0 like a miss.
             Value::Integer(0)
         }
-        b"DBSIZE" => Value::Integer(store.lock().expect("store poisoned").len() as i64),
-        b"INFO" => {
+        Command::Dbsize => Value::Integer(store.lock().expect("store poisoned").len() as i64),
+        Command::Info => {
             let s = store.lock().expect("store poisoned");
             s.publish_footprint();
             let stats = s.stats();
@@ -459,13 +614,13 @@ fn handle(
             body.push_str(&s.metrics().snapshot().render_info());
             Value::bulk(body.into_bytes())
         }
-        b"METRICS" => {
+        Command::Metrics => {
             let s = store.lock().expect("store poisoned");
             s.publish_footprint();
             let snap = s.metrics().snapshot();
             Value::bulk(snap.to_json().into_bytes())
         }
-        b"MRC" => match store.lock().expect("store poisoned").mrc_profile() {
+        Command::Mrc => match store.lock().expect("store poisoned").mrc_profile() {
             Some(mrc) => {
                 let mut body = String::from("cache_size,miss_ratio\n");
                 for &(x, y) in mrc.points().iter().filter(|&&(x, _)| x > 0.0) {
@@ -475,7 +630,7 @@ fn handle(
             }
             None => Value::Error("ERR MRC profiling not enabled".into()),
         },
-        b"TENANT" => match rest {
+        Command::Tenant => match rest {
             // TENANT        -> current selection (nil if none)
             // TENANT <id>   -> scope this connection's GETs to tenant <id>
             // TENANT NONE   -> back to unscoped (aggregate-only) profiling
@@ -496,11 +651,11 @@ fn handle(
             },
             _ => Value::Error("ERR usage: TENANT [id|NONE]".into()),
         },
-        b"SHUTDOWN" => {
+        Command::Shutdown => {
             stop.store(true, Ordering::Relaxed);
             Value::Simple("OK".into())
         }
-        b"BGSAVE" => {
+        Command::Bgsave => {
             // Synchronous under the store lock: mini-redis has no fork, so
             // "background" saving is a consistent foreground snapshot.
             match store.lock().expect("store poisoned").bgsave() {
@@ -508,13 +663,13 @@ fn handle(
                 Err(e) => Value::Error(format!("ERR BGSAVE: {e}")),
             }
         }
-        b"TRACE" => match rest {
+        Command::Trace => match rest {
             [sub] if sub.eq_ignore_ascii_case(b"DUMP") => {
                 Value::bulk(obs.recorder.chrome_trace_json().into_bytes())
             }
             _ => Value::Error("ERR usage: TRACE DUMP".into()),
         },
-        b"SLOWLOG" => {
+        Command::Slowlog => {
             let Some((sub, sub_rest)) = rest.split_first() else {
                 return Value::Error("ERR usage: SLOWLOG GET|LEN|RESET".into());
             };
@@ -565,7 +720,7 @@ fn handle(
                 _ => Value::Error("ERR usage: SLOWLOG GET|LEN|RESET".into()),
             }
         }
-        b"CONFIG" => match rest {
+        Command::Config => match rest {
             [sub, param] if sub.eq_ignore_ascii_case(b"GET") => {
                 if param.eq_ignore_ascii_case(b"slowlog-log-slower-than") {
                     let v = obs.slowlog.threshold_us.load(Ordering::Relaxed);
@@ -650,10 +805,6 @@ fn handle(
                     .into(),
             ),
         },
-        other => Value::Error(format!(
-            "ERR unknown command {:?}",
-            String::from_utf8_lossy(other)
-        )),
     }
 }
 
@@ -883,5 +1034,203 @@ mod tests {
         assert!(matches!(err, crate::resp::Value::Error(_)));
         assert!(client.ping().unwrap(), "connection must survive errors");
         server.shutdown();
+    }
+
+    #[test]
+    fn connection_churn_leaves_few_unjoined_threads() {
+        let mut server = Server::start(MiniRedis::new(10_000, 5, 7)).unwrap();
+        for _ in 0..300 {
+            let mut client = Client::connect(server.addr()).unwrap();
+            assert!(client.ping().unwrap());
+        }
+        let held = server.workers.lock().unwrap().len();
+        assert!(held <= 8, "{held} connection threads left unjoined");
+        server.shutdown();
+        assert!(server.workers.lock().unwrap().is_empty());
+    }
+
+    /// One I/O call a scripted connection saw.
+    #[derive(Debug, PartialEq)]
+    enum Io {
+        Read,
+        Write(Vec<u8>),
+    }
+
+    /// A byte stream that hands out scripted input chunks (EOF once they
+    /// run out) and logs every read and write call in order.
+    struct Scripted {
+        input: VecDeque<Vec<u8>>,
+        log: Vec<Io>,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.log.push(Io::Read);
+            let Some(mut chunk) = self.input.pop_front() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            if n < chunk.len() {
+                self.input.push_front(chunk.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.log.push(Io::Write(buf.to_vec()));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The wire form of `commands`, back to back.
+    fn wire(commands: &[&[&[u8]]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for parts in commands {
+            write_value(&mut out, &Value::command(parts)).unwrap();
+        }
+        out
+    }
+
+    const PING: &[&[u8]] = &[b"PING"];
+
+    /// Serves `chunks` (one per read) on a store holding the even keys
+    /// below 32, and returns the I/O log and whether the stop flag was set.
+    fn serve_script(chunks: Vec<Vec<u8>>, forensics: bool) -> (Vec<Io>, bool) {
+        let mut store = MiniRedis::new(1_000_000, 5, 1);
+        for key in (0..32).step_by(2) {
+            store.set(key, 8);
+        }
+        let obs = ServerObs::attach(&mut store);
+        obs.exemplars.set_enabled(forensics);
+        let store = Mutex::new(store);
+        let stop = AtomicBool::new(false);
+        let mut stream = Scripted {
+            input: chunks.into(),
+            log: Vec::new(),
+        };
+        serve_connection(&mut stream, &store, &stop, &obs).unwrap();
+        (stream.log, stop.load(Ordering::Relaxed))
+    }
+
+    fn written(bytes: &[u8]) -> Io {
+        Io::Write(bytes.to_vec())
+    }
+
+    #[test]
+    fn pipelined_batch_is_written_once_in_order() {
+        // Even keys are stored, so hits and misses alternate.
+        let (mut input, mut replies) = (Vec::new(), Vec::new());
+        for key in 0..32u64 {
+            let get = Value::command(&[b"GET", key.to_string().as_bytes()]);
+            write_value(&mut input, &get).unwrap();
+            replies.extend_from_slice(if key % 2 == 0 {
+                b"$1\r\n1\r\n"
+            } else {
+                b"$-1\r\n"
+            });
+        }
+        let (log, _) = serve_script(vec![input], false);
+        assert_eq!(log, [Io::Read, Io::Write(replies), Io::Read]);
+    }
+
+    #[test]
+    fn lone_command_is_written_before_the_next_read() {
+        let (log, _) = serve_script(vec![wire(&[PING]), wire(&[&[b"GET", b"0"]])], false);
+        assert_eq!(
+            log,
+            [
+                Io::Read,
+                written(b"+PONG\r\n"),
+                Io::Read,
+                written(b"$1\r\n1\r\n"),
+                Io::Read
+            ]
+        );
+    }
+
+    #[test]
+    fn partial_frame_does_not_hold_back_a_finished_reply() {
+        let mut first = wire(&[PING]);
+        first.extend_from_slice(b"*1\r\n$4\r\nPI");
+        let (log, _) = serve_script(vec![first, b"NG\r\n".to_vec()], false);
+        assert_eq!(
+            log,
+            [
+                Io::Read,
+                written(b"+PONG\r\n"),
+                Io::Read,
+                written(b"+PONG\r\n"),
+                Io::Read
+            ]
+        );
+    }
+
+    #[test]
+    fn shutdown_writes_pending_replies_before_returning() {
+        let (log, stopped) = serve_script(vec![wire(&[PING, &[b"SHUTDOWN"], PING])], false);
+        assert!(stopped);
+        assert_eq!(log, [Io::Read, written(b"+PONG\r\n+OK\r\n")]);
+    }
+
+    #[test]
+    fn protocol_error_follows_earlier_replies_then_closes() {
+        let mut input = wire(&[PING, &[b"GET", b"0"], &[b"SET", b"1", b"xx"]]);
+        input.extend_from_slice(b"*2\r\n$3\r\nGET\r\n$99999999999\r\n");
+        let (log, _) = serve_script(vec![input, wire(&[PING])], false);
+        let [Io::Read, Io::Write(out)] = log.as_slice() else {
+            panic!("one read, then one write, then close: {log:?}");
+        };
+        let out = String::from_utf8_lossy(out);
+        assert!(
+            out.starts_with("+PONG\r\n$1\r\n1\r\n+OK\r\n-ERR Protocol error")
+                && out.ends_with("\r\n"),
+            "{out:?}"
+        );
+        assert_eq!(out.matches("\r\n").count(), 5, "{out:?}");
+    }
+
+    #[test]
+    fn tail_capture_writes_queued_replies_first() {
+        // A fresh exemplar ring captures every command until it has seen
+        // 64, so each reply of this batch goes out before its capture.
+        let (log, _) = serve_script(vec![wire(&[PING, PING, PING])], true);
+        let pong = || written(b"+PONG\r\n");
+        assert_eq!(log, [Io::Read, pong(), pong(), pong(), Io::Read]);
+    }
+
+    #[test]
+    fn pending_replies_stay_under_the_cap() {
+        let mut stream = Scripted {
+            input: VecDeque::new(),
+            log: Vec::new(),
+        };
+        let mut conn = Conn::new(&mut stream);
+        for _ in 0..3_000 {
+            conn.write_all(&[b'x'; 50]).unwrap();
+            assert!(conn.pending.len() <= PENDING_CAP);
+        }
+        let big = vec![b'y'; PENDING_CAP + 1];
+        conn.write_all(&big).unwrap();
+        assert!(conn.pending.is_empty());
+        conn.write_all(b"z").unwrap();
+        conn.flush().unwrap();
+        let sizes: Vec<usize> = stream
+            .log
+            .iter()
+            .map(|io| match io {
+                Io::Write(b) => b.len(),
+                Io::Read => panic!("no reads"),
+            })
+            .collect();
+        assert_eq!(sizes.iter().sum::<usize>(), 150_000 + PENDING_CAP + 2);
+        assert!(sizes.iter().all(|&n| n <= PENDING_CAP + 1), "{sizes:?}");
+        assert_eq!(sizes.len(), 150_000 / PENDING_CAP + 3, "{sizes:?}");
     }
 }

@@ -313,6 +313,42 @@ fn command_split_across_reads_survives_socket_timeouts() {
 }
 
 #[test]
+fn reply_is_written_before_waiting_on_a_partial_command() {
+    let mut server = Server::start(MiniRedis::new(10_000, 5, 43)).unwrap();
+    let (mut stream, mut reader) = raw_conn(server.addr());
+    // Warm up the exemplar ring first: while it has seen few commands it
+    // captures every one, and each capture writes the queued replies,
+    // which would mask a reply held back below.
+    let ping = b"*1\r\n$4\r\nPING\r\n";
+    for _ in 0..2_000 {
+        stream.write_all(ping).unwrap();
+        assert_eq!(
+            resp::read_value(&mut reader).unwrap(),
+            Value::Simple("PONG".into())
+        );
+    }
+    // A complete PING plus the head of a second one in one write: the
+    // server must answer the first before it blocks reading the rest.
+    stream
+        .write_all(b"*1\r\n$4\r\nPING\r\n*1\r\n$4\r\nPI")
+        .unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(1)))
+        .unwrap();
+    std::io::BufRead::fill_buf(&mut reader).expect("PONG within 1 s");
+    assert_eq!(
+        resp::read_value(&mut reader).unwrap(),
+        Value::Simple("PONG".into())
+    );
+    stream.write_all(b"NG\r\n").unwrap();
+    assert_eq!(
+        resp::read_value(&mut reader).unwrap(),
+        Value::Simple("PONG".into())
+    );
+    server.shutdown();
+}
+
+#[test]
 fn oversized_and_zero_length_bulk_strings() {
     let mut server = Server::start(MiniRedis::new(10_000, 5, 37)).unwrap();
 
